@@ -4,7 +4,13 @@
 alternates untraced and traced passes of the workload for ``--seconds``
 (a traced pass hands an ``InMemoryCollector`` to every layer), then
 reads each layer's own accounting off the last traced pass. Layers the
-workload does not run report 0. Every traced run also
+workload does not run report 0. A few figures are computed apart from
+the pass, from the same seed's bundle, because no layer accounts for
+them itself: ``protocol.*`` and ``reorder.max_depth`` (on the rebuilt
+wire order, :func:`wire_order`), ``recovery.state_bytes`` and the
+encode/decode times (one mid-run checkpoint), and ``core.open_session_s``
+where the program opens the session inside ``ESPProcessor.run`` or a
+worker (``shelf_batch``, ``chain_cluster``). Every traced run also
 
 - replays the ``chain_cluster`` bundle through each rung of the stack
   (batch, streaming session, one gateway, the cluster) for ``ladder.*``;
@@ -111,8 +117,9 @@ def layer_metrics(
     duration = (
         CHAIN_SECONDS if name == "chain_cluster" else workloads.SHELF_SECONDS
     )
-    bundle = build_bundle(bundle_name, duration, seed) if network else None
-    schedule = feeder_schedule(name, seed, bundle) if network else []
+    bundle = build_bundle(bundle_name, duration, seed)
+    delay = workloads.delay_model(seed) if name == "shelf_gateway" else None
+    schedule = wire_order(bundle.streams, delay) if network else []
     out.update(protocol_metrics(schedule, n))
     feeder = detail.get("feeder", {})
     out["feeder.feed_s"] = (_last(spans, "ReplayFeeder.run"), "s")
@@ -126,8 +133,13 @@ def layer_metrics(
         reorder_max_depth(schedule, detail.get("schedule_slack", 0.0)),
         "count",
     )
+    # The gateway pass opens its session itself; the batch run and the
+    # cluster's workers do it inside the program, so time it apart.
+    opened = spans.durations("open_session")
     out["core.open_session_s"] = (
-        open_session_seconds(bundle) if network else 0.0, "s"
+        statistics.median(opened) if opened
+        else open_session_seconds(bundle),
+        "s",
     )
     out.update(
         recovery_metrics(bundle, detail)
@@ -279,12 +291,21 @@ def recovery_metrics(bundle, detail: dict) -> dict[str, tuple[float, str]]:
 # -- protocol, feeder schedule, reorder ----------------------------------------
 
 
-def feeder_schedule(name: str, seed: int, bundle) -> list:
-    """The wire order the workload's feeder sent, rebuilt by the
-    feeder's own scheduler with the same delay draws."""
-    delay = workloads.delay_model(seed) if name == "shelf_gateway" else None
-    feeder = ReplayFeeder("127.0.0.1", 0, bundle.streams, delay_model=delay)
-    return feeder._build_schedule()
+def wire_order(streams: dict, delay) -> list:
+    """The order the workload's feeder puts readings on the wire.
+
+    ``ReplayFeeder`` draws one delay per reading (sources in name order,
+    readings in sequence) and replays by ``(arrival, source, seq)``;
+    the same draws from a ``DelayModel`` with the same seed rebuild that
+    order here, apart from the pass.
+    """
+    schedule = []
+    for name in sorted(streams):
+        for seq, item in enumerate(streams[name]):
+            lag = float(delay.sample()) if delay is not None else 0.0
+            schedule.append((item.timestamp + lag, name, seq, item))
+    schedule.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
+    return schedule
 
 
 def protocol_metrics(

@@ -10,11 +10,15 @@ then checks the output against a reference computed apart from the
 timed path. The last line of standard output is
 ``{"correct", "attempted", "failed", "metrics"}``:
 
-- ``--trace 0``: the end-to-end metrics, each the median over passes
-  (``setup_s``, ``readings_per_s``, ``cpu_us_per_reading``) or the
-  process's peak (``peak_rss_mb``), measured with telemetry off.
+- ``--trace 0``: the end-to-end metrics, measured with telemetry off:
+  the median pass's ``setup_s``; ``readings_per_s`` and
+  ``cpu_us_per_reading`` over the data paths of all completed passes
+  together; the process's peak ``peak_rss_mb``.
 - ``--trace 1``: the per-layer metrics (see ``perfbench/layers.py``),
   and the benchmark's spans written to ``perfbench/out/``.
+
+``correct`` is true only when no pass failed and the output passed every
+check.
 
 String hashing is pinned (``PYTHONHASHSEED=0``, by re-executing the
 interpreter once) because hash randomisation alone moves set and dict
@@ -59,20 +63,21 @@ def measure(workload, seed: int, seconds: float) -> dict:
     done = tally.done()
     metrics = {"peak_rss_mb": (tally.peak_rss_mb, "MiB")}
     if done:
+        # Throughput and CPU are totals over every completed pass, which
+        # weighs each pass by its length; set-up is the median pass's.
+        readings = sum(p.readings for p in done)
         metrics.update(
             setup_s=(statistics.median(p.setup_s for p in done), "s"),
-            readings_per_s=(
-                statistics.median(p.readings / p.data_s for p in done), "1/s"
-            ),
+            readings_per_s=(readings / sum(p.data_s for p in done), "1/s"),
             cpu_us_per_reading=(
-                statistics.median(1e6 * p.cpu_s / p.readings for p in done),
-                "us",
+                1e6 * sum(p.cpu_s for p in done) / readings, "us"
             ),
         )
+    failed = len(tally.passes) - len(done)
     return {
-        "correct": bool(done) and not problems,
+        "correct": not failed and not problems,
         "attempted": len(tally.passes),
-        "failed": len(tally.passes) - len(done),
+        "failed": failed,
         "metrics": metrics,
         "problems": problems,
         "failures": tally.failures(),
